@@ -148,10 +148,10 @@ def measure_layers(workload, seed: int, seconds: float, work: Path):
     logs = getattr(state, "dataset", None)
     raw_read = raw_read_mb_per_s(logs / "logs") if logs is not None else 0.0
 
+    # One-time costs (lazy imports, first allocations) must land on
+    # neither side of the traced/untraced ratio.
+    workload.warm_up(state, refs)
     verdict = Verdict()
-    # A discarded untraced pass first, so that one-time costs (lazy
-    # imports, first allocations) land on neither side of the ratio.
-    verdict.add(workload.run_pass(state, refs))
     plain: List[float] = []
     with_trace: List[float] = []
     query_ms: List[float] = []

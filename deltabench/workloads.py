@@ -7,7 +7,7 @@ Each workload has the same shape:
 * ``references(state)`` computes what each operation must return, by a
   path that skips the layer under test (untimed, once);
 * ``run_pass(state, refs)`` is one timed pass from inputs to a checked
-  result;
+  result, and ``warm_up(state, refs)`` runs the same code once untimed;
 * ``describe(state)`` records the input size next to every run.
 
 All of them run in this one process with ``workers=1, jobs=1`` passed
@@ -45,6 +45,8 @@ from repro.store import MATCH_ALL, EventStore, Query, gpu_serial
 #: CI's paper-fidelity gate: ``verify --scale 0.05 --tolerance-scale 2``.
 VERIFY_SCALE = 0.05
 TOLERANCE_SCALE = 2.0
+#: A dataset just large enough to run every experiment's code once.
+WARM_UP_SCALE = 0.002
 #: Observation-window scale the ``ingest`` and ``history`` dumps are
 #: synthesized at.
 SCALE = 0.03
@@ -113,6 +115,10 @@ class Reproduce:
         # The reference is the paper itself: every verified metric must
         # land in its tolerance band (see ``run_pass``).
         return {}
+
+    def warm_up(self, state: ReproduceState, refs: Dict[str, str]) -> None:
+        """Run every experiment once on a tiny dataset (outputs dropped)."""
+        Session(_config(WARM_UP_SCALE, state.seed)).run_many(EXPERIMENT_IDS)
 
     def run_pass(self, state: ReproduceState, refs: Dict[str, str]) -> PassResult:
         ops = Ops()
@@ -209,6 +215,9 @@ class Ingest:
         session = Session(_config(self.scale, state.seed, dataset=state.dataset))
         return {r.experiment_id: result_digest(r)
                 for r in session.run_many(INGEST_IDS)}
+
+    def warm_up(self, state: DumpState, refs: Dict[str, str]) -> None:
+        self.run_pass(state, refs)
 
     def run_pass(self, state: DumpState, refs: Dict[str, str]) -> PassResult:
         shutil.rmtree(state.store, ignore_errors=True)
@@ -361,6 +370,9 @@ class History:
                                         source_fingerprint=state.store.content_hash())
         return {"queries": plan, "digests": digests,
                 "backtest": _scorecard(reference)}
+
+    def warm_up(self, state: HistoryState, refs: Dict[str, object]) -> None:
+        self.run_pass(state, refs)
 
     def run_pass(self, state: HistoryState, refs: Dict[str, object]) -> PassResult:
         # The pass time is the client's waiting time: queries and the
