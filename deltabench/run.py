@@ -3,8 +3,12 @@
     python3 deltabench/run.py --workload reproduce --seed 7 --seconds 15 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off:
-set-up runs ``SETUP_REPEATS`` times (``setup_s`` is the median), then
-timed passes repeat until ``--seconds`` have elapsed.  ``--trace 1``
+set-up runs ``SETUP_REPEATS`` times (``setup_s`` is the median), an
+untimed warm-up follows, then timed passes repeat until
+``--seconds`` have elapsed, with the reference job timed between them
+and between a pass's operations, outside the pass time (``wall_rel`` is
+the mean pass time over the mean reference-job time;
+the record line keeps the pass times in seconds).  ``--trace 1``
 gives the per-layer metrics instead: one traced set-up, then untraced
 and traced passes alternate, and the traced outputs must equal the
 untraced ones.  Either way the last line of standard output is one JSON
@@ -95,7 +99,7 @@ class Verdict:
 
 def measure(workload, seed: int, seconds: float, work: Path):
     """``--trace 0``: the end-to-end metrics."""
-    from harness import clock, median, peak_rss_mb
+    from harness import HostSpeed, clock, median, peak_rss_mb
 
     setup_times = []
     state = None
@@ -106,24 +110,31 @@ def measure(workload, seed: int, seconds: float, work: Path):
         state = workload.setup(seed, work)
         setup_times.append(clock() - start)
     refs = workload.references(state)
+    workload.warm_up(state, refs)
 
     verdict = Verdict()
     walls: List[float] = []
+    speed = HostSpeed()
+    speed.keep_up()
     began = clock()
     while not walls or clock() - began < seconds:
         gc.collect()
-        result = workload.run_pass(state, refs)
+        result = workload.run_pass(state, refs, speed.keep_up)
         verdict.add(result)
         walls.append(result.wall_s)
+        speed.keep_up()
 
     metrics = {
-        "wall_s": (median(walls), "s"),
+        # Time-weighted over the whole run on both sides: a median of a
+        # few passes would read the host's speed at one moment.
+        "wall_rel": (sum(walls) / len(walls) / speed.unit_s, "x"),
         "setup_s": (median(setup_times), "s"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
         "ok_share": ((verdict.attempted - verdict.failed) / verdict.attempted, "ratio"),
     }
     extra = {"passes": len(walls), "operations": verdict.attempted,
-             "setup_runs_s": setup_times}
+             "wall_s": walls, "reference_job_s": speed.unit_s,
+             "reference_jobs": speed.jobs, "setup_runs_s": setup_times}
     return state, verdict, metrics, extra
 
 
@@ -155,8 +166,10 @@ def measure_layers(workload, seed: int, seconds: float, work: Path):
     plain: List[float] = []
     with_trace: List[float] = []
     query_ms: List[float] = []
+    latency_samples = getattr(workload, "latency_samples", 0)
     began = clock()
-    while not plain or not with_trace or clock() - began < seconds:
+    while (not plain or not with_trace or clock() - began < seconds
+           or len(query_ms) < latency_samples):
         gc.collect()
         if len(plain) <= len(with_trace):
             result = workload.run_pass(state, refs)

@@ -14,6 +14,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ def tiny(name: str):
     workload.dump_records = 5_000
     if name == "history":
         workload.mix = (("gpu", 6), ("node_week", 6), ("xid", 2), ("window_3d", 2))
+        workload.latency_samples = 32
     return workload
 
 
@@ -110,6 +112,38 @@ def test_a_pass_that_changes_its_outputs_is_not_correct():
     verdict.add(first)
     verdict.add(second)
     assert verdict.failed == 1 and not verdict.correct
+
+
+def test_host_speed_keeps_its_share_of_the_time_between_calls():
+    speed = harness.HostSpeed()
+    speed.keep_up()
+    assert speed.jobs == 1 and speed.unit_s > 0
+    first = speed.seconds
+    time.sleep(0.5)  # stands in for part of a pass
+    spent = speed.keep_up()
+    assert speed.seconds - first >= harness.HostSpeed.SHARE * 0.5
+    assert spent >= speed.seconds - first
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_pauses_stay_out_of_the_pass_time(name, work):
+    workload = tiny(name)
+    state = workload.setup(5, work)
+    refs = workload.references(state)
+    workload.warm_up(state, refs)
+    pauses = []
+
+    def pause():
+        time.sleep(0.2)
+        pauses.append(0.2)
+        return 0.2
+
+    start = harness.clock()
+    result = workload.run_pass(state, refs, pause)
+    elapsed = harness.clock() - start
+    assert result.ops.failed == result.ops.misses, result.ops.problems
+    assert len(pauses) >= 2
+    assert result.wall_s <= elapsed - sum(pauses) + 0.05
 
 
 def test_probes_restore_the_program():

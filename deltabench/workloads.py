@@ -6,8 +6,10 @@ Each workload has the same shape:
   for ``setup_s``);
 * ``references(state)`` computes what each operation must return, by a
   path that skips the layer under test (untimed, once);
-* ``run_pass(state, refs)`` is one timed pass from inputs to a checked
-  result, and ``warm_up(state, refs)`` runs the same code once untimed;
+* ``run_pass(state, refs, pause)`` is one timed pass from inputs to a
+  checked result; ``pause``, when given, runs between its operations
+  and its time is left out of the pass.  ``warm_up(state, refs)`` runs
+  the pass's code once, untimed, first;
 * ``describe(state)`` records the input size next to every run.
 
 All of them run in this one process with ``workers=1, jobs=1`` passed
@@ -34,7 +36,7 @@ import repro.pipeline.extract as extract
 import repro.replay as replay
 import repro.results as results
 import repro.syslog.writer as writer
-from harness import SRC, Ops, PassResult, clock, result_digest
+from harness import SRC, Ops, PassResult, Pause, clock, result_digest
 from layers import EXPERIMENT_IDS
 from repro.core.parsing import RawXidRecord
 from repro.experiments import EXPERIMENTS
@@ -47,12 +49,16 @@ VERIFY_SCALE = 0.05
 TOLERANCE_SCALE = 2.0
 #: A dataset just large enough to run every experiment's code once.
 WARM_UP_SCALE = 0.002
+#: Queries ``history`` runs untimed before its first pass.
+WARM_UP_QUERIES = 20
+#: ``history`` pauses before every this many queries.
+PAUSE_QUERIES = 100
 #: Observation-window scale the ``ingest`` and ``history`` dumps are
 #: synthesized at.
-SCALE = 0.03
-#: XID records in every log dump (see ``_write_dump``); every seed's
-#: dataset at ``SCALE`` holds more.
-DUMP_RECORDS = 150_000
+SCALE = 0.015
+#: XID records in every log dump (see ``_write_dump``); seeds 1-12 hold
+#: 92,000-183,000 at ``SCALE``.
+DUMP_RECORDS = 80_000
 
 HOUR = 3600.0
 DAY = 86_400.0
@@ -64,19 +70,22 @@ def _config(scale: float, seed: int, **paths) -> RunConfig:
 
 def _run_experiments(
     session: Session, ids: Tuple[str, ...], ops: Ops,
-    references: Optional[Dict[str, str]],
-) -> List:
-    """``run_many`` over ``ids``; each experiment is one operation."""
-    try:
-        outcomes = session.run_many(ids)
-    except Exception as exc:  # noqa: BLE001 — a raise is a failed op
-        ops.attempted += 1
-        ops.fail(f"run_many raised {type(exc).__name__}: {exc}")
-        return []
-    for identifier, outcome in zip(ids, outcomes):
-        ops.record(identifier, result_digest(outcome),
-                   None if references is None else references[identifier])
-    return outcomes
+    references: Optional[Dict[str, str]], pause: Optional[Pause],
+) -> Tuple[List, float]:
+    """``Session.run`` over ``ids`` in order, which is what ``run_many``
+    does with ``jobs=1``; each experiment is one operation, with
+    ``pause`` before it.  Returns the results and the paused seconds."""
+    outcomes = []
+    paused = 0.0
+    for identifier in ids:
+        if pause is not None:
+            paused += pause()
+        with ops.guard(identifier):
+            outcome = session.run(identifier)
+            ops.record(identifier, result_digest(outcome),
+                       None if references is None else references[identifier])
+            outcomes.append(outcome)
+    return outcomes, paused
 
 
 # ----------------------------------------------------------------------
@@ -93,8 +102,8 @@ class ReproduceState:
 class Reproduce:
     """The paper-fidelity path ``repro-delta verify`` and CI run.
 
-    A pass builds a fresh ``Session``, runs ``run_many`` over the 15
-    experiments (the substrate synthesizes the dataset on first use) and
+    A pass builds a fresh ``Session``, runs the 15 experiments in it
+    (the substrate synthesizes the dataset on first use) and
     gates the verified ones with ``verify_results`` at CI's tolerance.
     Set-up is the package import a cold ``repro-delta`` process pays.
     """
@@ -120,17 +129,18 @@ class Reproduce:
         """Run every experiment once on a tiny dataset (outputs dropped)."""
         Session(_config(WARM_UP_SCALE, state.seed)).run_many(EXPERIMENT_IDS)
 
-    def run_pass(self, state: ReproduceState, refs: Dict[str, str]) -> PassResult:
+    def run_pass(self, state: ReproduceState, refs: Dict[str, str],
+                 pause: Optional[Pause] = None) -> PassResult:
         ops = Ops()
         verified = {i for i in EXPERIMENT_IDS if EXPERIMENTS[i].verified}
         start = clock()
         session = Session(_config(self.scale, state.seed))
-        outcomes = _run_experiments(session, EXPERIMENT_IDS, ops, None)
+        outcomes, paused = _run_experiments(session, EXPERIMENT_IDS, ops, None, pause)
         report = results.verify_results(
             [r for r in outcomes if r.experiment_id in verified],
             tolerance_scale=TOLERANCE_SCALE,
         )
-        wall = clock() - start
+        wall = clock() - start - paused
         state.xid_records = len(session.study.records)
         for check in report.checks:
             ops.attempted += 1
@@ -173,10 +183,21 @@ def _write_dump(seed: int, scale: float, n_records: int, work: Path) -> Path:
     How many lines a dataset holds swings about 2x across seeds at one
     scale, with the bursts of a few offender GPUs, so a dump is cut at a
     fixed record count (noise lines up to the same instant included): a
-    stated input size for every seed.
+    stated input size for every seed.  The dump is made in a child
+    interpreter: the dataset it is cut from is up to 2.3x its size, and
+    ``peak_rss_mb`` is the memory of handling the dump, not of making it.
     """
     target = work / "dataset"
     shutil.rmtree(target, ignore_errors=True)
+    subprocess.run(
+        [sys.executable, __file__, str(seed), repr(scale), str(n_records),
+         str(target)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+    )
+    return target
+
+
+def _make_dump(seed: int, scale: float, n_records: int, target: Path) -> None:
     dataset = datasets.synthesize_delta(scale=scale, seed=seed)
     lines = list(dataset.log_lines())
     stamps = sorted(line[:_STAMP] for line in lines if "NVRM: Xid" in line)
@@ -185,7 +206,6 @@ def _write_dump(seed: int, scale: float, n_records: int, work: Path) -> Path:
         lines = [line for line in lines if line[:_STAMP] <= cutoff]
     writer.write_node_logs(lines, target / "logs")
     dataset.save_slurm_db(target / "slurm.jsonl")
-    return target
 
 
 def _dump_record(directory: Path) -> Dict[str, object]:
@@ -219,14 +239,15 @@ class Ingest:
     def warm_up(self, state: DumpState, refs: Dict[str, str]) -> None:
         self.run_pass(state, refs)
 
-    def run_pass(self, state: DumpState, refs: Dict[str, str]) -> PassResult:
+    def run_pass(self, state: DumpState, refs: Dict[str, str],
+                 pause: Optional[Pause] = None) -> PassResult:
         shutil.rmtree(state.store, ignore_errors=True)
         ops = Ops()
         start = clock()
         session = Session(_config(self.scale, state.seed,
                                   dataset=state.dataset, store=state.store))
-        _run_experiments(session, INGEST_IDS, ops, refs)
-        return PassResult(clock() - start, ops)
+        _, paused = _run_experiments(session, INGEST_IDS, ops, refs, pause)
+        return PassResult(clock() - start - paused, ops)
 
     def describe(self, state: DumpState) -> Dict[str, object]:
         record: Dict[str, object] = {"scale": self.scale, "seed": state.seed}
@@ -269,11 +290,11 @@ class History:
     """Operators querying and backtesting stored history.
 
     Set-up writes the dump, extracts it and builds the ``EventStore``
-    from the merged record stream (the layout ``ingest`` writes).  A pass is one client's closed loop
-    over 1,000 seeded pushdown queries, each result materialized,
-    then one ``run_backtest`` over the whole store.  References: a
-    filter over the extracted record list, and the backtest over that
-    list.
+    from the merged record stream (the layout ``ingest`` writes).  A
+    pass is one client's closed loop over 500 seeded pushdown queries,
+    each result materialized, then one ``run_backtest`` over the whole
+    store.  References: a filter over the extracted record list, and the
+    backtest over that list.
     """
 
     name = "history"
@@ -281,7 +302,10 @@ class History:
     dump_records = DUMP_RECORDS
     #: Queries per pass by shape: mostly drill-downs into one GPU or one
     #: node, with a few fleet-wide scans (the latency tail).
-    mix = (("gpu", 475), ("node_week", 475), ("xid", 25), ("window_3d", 25))
+    mix = (("gpu", 238), ("node_week", 238), ("xid", 12), ("window_3d", 12))
+    #: Query latencies the traced run collects from its untraced passes
+    #: (two or more), so p99 has ten samples beyond it.
+    latency_samples = 1000
 
     def setup(self, seed: int, work: Path) -> HistoryState:
         dataset = _write_dump(seed, self.scale, self.dump_records, work)
@@ -372,11 +396,15 @@ class History:
                 "backtest": _scorecard(reference)}
 
     def warm_up(self, state: HistoryState, refs: Dict[str, object]) -> None:
-        self.run_pass(state, refs)
+        """A few queries; ``references`` already ran the backtest code."""
+        plan: List[HistoryQuery] = refs["queries"]  # type: ignore[assignment]
+        for item in plan[:WARM_UP_QUERIES]:
+            list(state.store.query(item.query))
 
-    def run_pass(self, state: HistoryState, refs: Dict[str, object]) -> PassResult:
+    def run_pass(self, state: HistoryState, refs: Dict[str, object],
+                 pause: Optional[Pause] = None) -> PassResult:
         # The pass time is the client's waiting time: queries and the
-        # backtest, not the digests that check them.
+        # backtest, not the digests that check them (nor ``pause``).
         ops = Ops()
         busy = 0.0
         query_ms: List[float] = []
@@ -384,6 +412,8 @@ class History:
         digests: List[str] = refs["digests"]  # type: ignore[assignment]
         store = state.store
         for number, (item, expected) in enumerate(zip(plan, digests)):
+            if pause is not None and number % PAUSE_QUERIES == 0:
+                pause()
             op_id = f"query{number}:{item.shape}"
             with ops.guard(op_id):
                 start = clock()
@@ -392,6 +422,8 @@ class History:
                 busy += seconds
                 query_ms.append(seconds * 1000)
                 ops.record(op_id, rows_digest(found), expected)
+        if pause is not None:
+            pause()
         with ops.guard("backtest"):
             fingerprint = store.content_hash()
             start = clock()
@@ -435,3 +467,9 @@ class _Index:
 
 
 WORKLOADS = {w.name: w for w in (Reproduce(), Ingest(), History())}
+
+
+if __name__ == "__main__":
+    # ``_write_dump``'s child: SEED SCALE N_RECORDS TARGET.
+    _make_dump(int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]),
+               Path(sys.argv[4]))
