@@ -10,10 +10,9 @@ contract end to end:
 * the resulting ``StudyReport`` statistics (overall and per-XID MTBE)
   match exactly.
 
-Timings land in ``BENCH_pipeline.json``.  Standalone on purpose (not a
-pytest-benchmark case): process-pool timing wants a quiet interpreter,
-and CI runs the same script in ``--smoke`` mode as a cheap identity
-check::
+Timings land in ``BENCH_pipeline.json``.  Standalone on purpose, not a
+test: process-pool timing wants a quiet interpreter, and CI runs the
+same script in ``--smoke`` mode as a cheap identity check::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py            # full timing
     PYTHONPATH=src python benchmarks/bench_pipeline.py --smoke    # CI check

@@ -4,9 +4,9 @@ Runs one fixed Monte-Carlo sweep twice — ``workers=1`` and ``workers=K`` —
 verifies the aggregates are bit-for-bit identical (the runner's determinism
 contract), and writes the timings to ``BENCH_sim.json``.
 
-Standalone on purpose (not a pytest-benchmark case): process-pool timing
-wants a quiet interpreter, and CI runs the same script in ``--smoke`` mode
-as a cheap shape check::
+Standalone on purpose, not a test: process-pool timing wants a quiet
+interpreter, and CI runs the same script in ``--smoke`` mode as a cheap
+shape check::
 
     PYTHONPATH=src python benchmarks/bench_sim.py            # full timing
     PYTHONPATH=src python benchmarks/bench_sim.py --smoke    # CI shape check

@@ -25,7 +25,7 @@ from repro.core import (
     trend_test,
 )
 from repro.core.reliability import interarrival_times
-from repro.core.report import render_generations, render_spatial
+from repro.core.report import generations_result, spatial_result
 from repro.faults.xid import XID_CATALOG, Xid
 
 
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"\n2. Laplace trend over the window: u={result.statistic:+.2f} -> {verdict}")
 
     # 3. Who to replace.
-    print("\n3. " + render_spatial(SpatialAnalyzer(errors, n_gpus=848)))
+    print("\n3. " + spatial_result(SpatialAnalyzer(errors, n_gpus=848)).render_text())
     offenders = SpatialAnalyzer(errors, n_gpus=848).offenders(95)
     for offender in offenders[:3]:
         print(
@@ -77,9 +77,9 @@ def main() -> None:
         )
 
     # 4. Generational context.
-    print("\n4. " + render_generations(
+    print("\n4. " + generations_result(
         GenerationComparison(stats, study.propagation())
-    ))
+    ).render_text())
 
     # 5. Capacity cost.
     availability = study.availability().report().availability

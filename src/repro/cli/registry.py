@@ -48,8 +48,8 @@ class Flags:
     scale: bool = False
     #: Default value for ``--seed`` (``None`` = the command has no seed).
     seed: Optional[int] = None
-    #: Help text for ``--workers`` (``None`` = no flag).  The flag's
-    #: default is ``None`` ("all cores"), resolved by ``RunConfig``.
+    #: Help text for ``--workers`` (``None`` = no flag).  The flag
+    #: defaults to 1, the serial path.
     workers: Optional[str] = None
     jobs: bool = False
     store: bool = False
@@ -95,7 +95,7 @@ def add_common(
 
 
 def add_workers(parser: argparse.ArgumentParser, help_text: str) -> None:
-    parser.add_argument("--workers", type=int, default=None, help=help_text)
+    parser.add_argument("--workers", type=int, default=1, help=help_text)
 
 
 def add_jobs(parser: argparse.ArgumentParser) -> None:

@@ -64,7 +64,7 @@ def _configure_overprovision(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_overprovision(args: argparse.Namespace) -> int:
     from repro.core import OverprovisionConfig, OverprovisionSimulator
-    from repro.core.report import render_overprovision
+    from repro.core.report import overprovision_result
 
     simulator = OverprovisionSimulator(
         OverprovisionConfig(n_nodes=args.nodes, seed=args.seed)
@@ -73,7 +73,7 @@ def _cmd_overprovision(args: argparse.Namespace) -> int:
         recovery_minutes=(5.0, 10.0, 20.0, 40.0),
         availabilities=(0.995, 0.9987),
     )
-    print(render_overprovision(results))
+    print(overprovision_result(results).render_text())
     return 0
 
 
@@ -124,8 +124,8 @@ register(Command(
     flags=Flags(
         scale=True,
         workers="processes for sharded log extraction over an on-disk "
-                "--dataset (default: all cores; 1 forces the serial path; "
-                "identical results either way)",
+                "--dataset (default: 1, the serial path; identical results "
+                "for any count)",
         jobs=True,
         store=True,
         output=True,

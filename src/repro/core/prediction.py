@@ -13,8 +13,8 @@ This module implements that model end-to-end on the reproduction's data:
   descent (NumPy only), with a Laplace-smoothed per-XID prior as one of
   the features (the "Bayesian" ingredient).
 
-See ``benchmarks/test_bench_prediction.py`` for the precision/recall it
-achieves on held-out data.
+``tests/paper/test_sections.py::TestPersistencePrediction`` asserts the
+precision/recall it achieves on held-out data.
 """
 
 from __future__ import annotations

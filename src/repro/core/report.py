@@ -3,11 +3,10 @@
 Each ``*_result`` function turns one analyzer's output into a structured
 :class:`~repro.results.artifact.ExperimentResult` — named metrics (with
 the paper's expected values and tolerance bands attached where the paper
-published a number), typed tables, and per-metric support counts.  The
-``render_*`` functions are thin wrappers that derive the historical
-monospace-text reports from those artifacts; their output is byte-for-byte
-identical to the pre-refactor strings (golden-tested), so benchmark output
-still doubles as the EXPERIMENTS.md comparison.
+published a number), typed tables, and per-metric support counts.  Callers
+render the historical monospace-text report with
+``<x>_result(...).render_text()``; that text is byte-for-byte identical to
+the pre-refactor strings (golden-tested under ``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.faults.calibration import (
 )
 from repro.faults.xid import MEMORY_MTBE_XIDS, XID_CATALOG, Xid
 from repro.results.artifact import ExperimentResult, Metric, ResultTable
-from repro.results.render import render_text
 from repro.slurm.workload import SIZE_BUCKETS
 
 
@@ -115,14 +113,6 @@ def table1_result(
     )
 
 
-def render_table1(
-    stats: ErrorStatistics,
-    profile: Optional[CalibrationProfile] = None,
-    scale: float = 1.0,
-) -> str:
-    return render_text(table1_result(stats, profile, scale))
-
-
 # ---------------------------------------------------------------------------
 # Table 2
 # ---------------------------------------------------------------------------
@@ -171,10 +161,6 @@ def table2_result(impact: JobImpactAnalyzer, scale: float = 1.0) -> ExperimentRe
         metrics=metrics,
         tables=(table,),
     )
-
-
-def render_table2(impact: JobImpactAnalyzer, scale: float = 1.0) -> str:
-    return render_text(table2_result(impact, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +213,6 @@ def table3_result(impact: JobImpactAnalyzer) -> ExperimentResult:
     )
 
 
-def render_table3(impact: JobImpactAnalyzer) -> str:
-    return render_text(table3_result(impact))
-
-
 # ---------------------------------------------------------------------------
 # Figures 5-7 (propagation)
 # ---------------------------------------------------------------------------
@@ -267,10 +249,6 @@ def figure5_result(propagation: PropagationAnalyzer) -> ExperimentResult:
         renderer="fig5",
         metrics=metrics,
     )
-
-
-def render_figure5(propagation: PropagationAnalyzer) -> str:
-    return render_text(figure5_result(propagation))
 
 
 def figure6_result(
@@ -313,10 +291,6 @@ def figure6_result(
     )
 
 
-def render_figure6(propagation: PropagationAnalyzer) -> str:
-    return render_text(figure6_result(propagation))
-
-
 def figure7_result(propagation: PropagationAnalyzer) -> ExperimentResult:
     """DBE recovery tree (paper Figure 7)."""
     m = propagation.memory_recovery_paths()
@@ -345,10 +319,6 @@ def figure7_result(propagation: PropagationAnalyzer) -> ExperimentResult:
         renderer="fig7",
         metrics=metrics,
     )
-
-
-def render_figure7(propagation: PropagationAnalyzer) -> str:
-    return render_text(figure7_result(propagation))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +397,6 @@ def figure9_result(
     )
 
 
-def render_figure9(
-    impact: JobImpactAnalyzer, availability: AvailabilityAnalyzer
-) -> str:
-    return render_text(figure9_result(impact, availability))
-
-
 # ---------------------------------------------------------------------------
 # Section 5.4 / 5.5
 # ---------------------------------------------------------------------------
@@ -474,10 +438,6 @@ def overprovision_result(
         metrics=tuple(metrics),
         tables=(table,),
     )
-
-
-def render_overprovision(results: Mapping[Tuple[float, float], float]) -> str:
-    return render_text(overprovision_result(results))
 
 
 def generations_result(comparison) -> ExperimentResult:
@@ -523,10 +483,6 @@ def generations_result(comparison) -> ExperimentResult:
     )
 
 
-def render_generations(comparison) -> str:
-    return render_text(generations_result(comparison))
-
-
 def spatial_result(
     analyzer, xids: Sequence[int] = (95, 31, 74, 119)
 ) -> ExperimentResult:
@@ -567,10 +523,6 @@ def spatial_result(
     )
 
 
-def render_spatial(analyzer, xids: Sequence[int] = (95, 31, 74, 119)) -> str:
-    return render_text(spatial_result(analyzer, xids))
-
-
 def counterfactual_result(report: CounterfactualReport) -> ExperimentResult:
     metrics = (
         _metric("baseline_mtbe_node_hours",
@@ -603,7 +555,3 @@ def counterfactual_result(report: CounterfactualReport) -> ExperimentResult:
         renderer="counterfactual",
         metrics=metrics,
     )
-
-
-def render_counterfactual(report: CounterfactualReport) -> str:
-    return render_text(counterfactual_result(report))

@@ -13,7 +13,7 @@ unit into the Figure-3 flow:
 
 The calibrated fault kernel in :mod:`repro.faults` abstracts exactly this
 machine; ``GpuMemory`` exists so the abstraction can be checked against a
-mechanistic model (see ``benchmarks/test_bench_ablation_memory.py``).
+mechanistic model (see ``tests/paper/test_ablations.py::TestMemoryAblation``).
 """
 
 from __future__ import annotations

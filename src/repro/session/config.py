@@ -69,24 +69,13 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args, **overrides) -> "RunConfig":
-        """Build from an argparse namespace; absent flags keep defaults.
-
-        ``--workers`` may arrive as ``None`` ("all cores"): that resolves
-        here, so every consumer downstream sees a concrete count.
-        """
-        import os
-
+        """Build from an argparse namespace; absent flags keep defaults."""
         values = {}
-        for name in ("scale", "seed", "jobs", "dataset", "store",
+        for name in ("scale", "seed", "workers", "jobs", "dataset", "store",
                      "output_dir", "format"):
             value = getattr(args, name, None)
             if value is not None:
                 values[name] = value
-        workers = getattr(args, "workers", None)
-        if workers is not None:
-            values["workers"] = workers
-        elif hasattr(args, "workers"):
-            values["workers"] = os.cpu_count() or 1
         values.update(overrides)
         return cls(**values)
 

@@ -79,7 +79,12 @@ class StoreManifest:
             return cls.from_dict(json.load(handle))
 
     def commit(self, directory: str | Path) -> None:
-        """Atomically replace ``manifest.json`` with this state."""
+        """Atomically and durably replace ``manifest.json`` with this state.
+
+        The directory is fsynced after the rename, so the new manifest
+        entry (and any segment renamed into place before this commit)
+        survives a crash, not only the manifest's bytes.
+        """
         directory = Path(directory)
         final = directory / MANIFEST_NAME
         temporary = directory / (MANIFEST_NAME + ".tmp")
@@ -89,3 +94,8 @@ class StoreManifest:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, final)
+        descriptor = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)

@@ -12,6 +12,8 @@ import pytest
 from repro.cluster import DeltaShape, build_delta_cluster
 from repro.core import DeltaStudy
 from repro.datasets import synthesize_delta, synthesize_h100
+from repro.pipeline import FileSetSource
+from repro.store import EventStore
 
 #: One fixed seed for the shared datasets; individual tests that probe
 #: seed-sensitivity build their own.
@@ -37,6 +39,32 @@ def small_cluster():
 def dataset():
     """The shared small Ampere dataset (jobs + errors + logs)."""
     return synthesize_delta(scale=SCALE, seed=SEED)
+
+
+@pytest.fixture(scope="session")
+def logs_dir(dataset, tmp_path_factory):
+    """The shared dataset as on-disk per-node log files."""
+    directory = tmp_path_factory.mktemp("shared-logs") / "logs"
+    paths = dataset.write_logs(directory)
+    assert len(paths) > 4  # genuinely multi-node
+    return directory
+
+
+@pytest.fixture(scope="session")
+def history_logs_dir(tmp_path_factory):
+    """Node logs of the history the store and replay speed floors are
+    measured on (scale 0.01, seed 7)."""
+    directory = tmp_path_factory.mktemp("history") / "logs"
+    synthesize_delta(scale=0.01, seed=7).write_logs(directory)
+    return directory
+
+
+@pytest.fixture(scope="session")
+def history_store(history_logs_dir):
+    """That history ingested into a store with the default segment size."""
+    store = EventStore.create(history_logs_dir.parent / "events")
+    store.ingest(FileSetSource(history_logs_dir), workers=1)
+    return store
 
 
 @pytest.fixture(scope="session")

@@ -123,8 +123,8 @@ class TestNVLinkInvolvement:
 class TestPaperPaths:
     def test_memory_recovery_paths_from_dataset(self, study):
         paths = study.propagation().memory_recovery_paths()
-        # Small-sample tolerances; the full-scale comparison lives in the
-        # benchmarks/EXPERIMENTS.md.
+        # Small-sample tolerances; the tight branch checks live in
+        # tests/paper/test_figures.py::TestFigure7.
         assert 0.0 <= paths["p_dbe_to_rre"] <= 1.0
         assert paths["p_dbe_to_rre"] + paths["p_dbe_to_rrf"] <= 1.0 + 1e-9
 

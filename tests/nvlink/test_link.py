@@ -63,6 +63,8 @@ class TestCollective:
         assert result.total_crc_errors > 50
         assert result.survival_rate == 1.0
         assert result.jobs_with_errors_that_survived == 1.0
+        # Retries cost bandwidth, not jobs.
+        assert 0.95 < result.mean_goodput <= 1.0
 
     def test_without_retry_every_error_kills_the_job(self):
         result = simulate_collective(

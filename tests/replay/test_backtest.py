@@ -1,6 +1,7 @@
 """Replay engine + backtest scorecard over the demo history."""
 
 import json
+import time
 
 import pytest
 
@@ -46,6 +47,16 @@ class TestReplayEngine:
         from_logs = ReplayEngine().replay(demo_records)
         assert from_store.alerts == from_logs.alerts
         assert from_store.records == from_logs.records
+
+    def test_unbounded_replay_runs_50x_faster_than_real_time(self, history_store):
+        # A generous floor: its job is to catch a wall-clock sleep creeping
+        # into the unbounded hot path, not to time the stack.
+        ReplayEngine().replay(history_store.query())  # warm pass
+        begin = time.perf_counter()
+        outcome = ReplayEngine().replay(history_store.query())
+        elapsed = time.perf_counter() - begin
+        assert outcome.records == history_store.n_records
+        assert outcome.span_seconds >= 50.0 * elapsed
 
     def test_paced_replay_reports_wall_time(self, demo_records):
         clock = VirtualClock()

@@ -70,12 +70,9 @@ class TestRunConfig:
         assert make_config(store=Path("s")).digest() != base.digest()
         assert make_config(dataset=Path("d")).digest() != base.digest()
 
-    def test_from_args_resolves_all_cores(self):
-        import os
-
+    def test_from_args_defaults_to_serial_workers(self):
         args = argparse.Namespace(scale=SCALE, seed=SEED, workers=None)
-        config = RunConfig.from_args(args)
-        assert config.workers == (os.cpu_count() or 1)
+        assert RunConfig.from_args(args).workers == 1
 
     def test_from_args_ignores_absent_flags(self):
         config = RunConfig.from_args(argparse.Namespace(seed=11))

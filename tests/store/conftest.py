@@ -1,8 +1,8 @@
-"""Store fixtures: hand-made record streams plus one on-disk dataset.
+"""Store fixtures: hand-made record streams.
 
 Unit tests over segments/queries/recovery use tiny synthetic records;
-the identity and ingest-worker tests reuse the shared session dataset,
-written to disk once so :class:`FileSetSource` can shard it.
+the identity and ingest-worker tests reuse the shared session dataset's
+on-disk logs (``logs_dir`` in the suite-wide conftest).
 """
 
 from __future__ import annotations
@@ -35,11 +35,3 @@ def records():
         make_record(1.0, xid=31, msg="MMU fault"),  # tie with the previous row
         make_record(5.0, node="gpub002", pci="0000:46:00", xid=94),
     ]
-
-
-@pytest.fixture(scope="session")
-def logs_dir(dataset, tmp_path_factory):
-    """The shared dataset's node logs, materialized once for file sources."""
-    directory = tmp_path_factory.mktemp("store-logs")
-    dataset.write_logs(directory)
-    return directory

@@ -1,6 +1,8 @@
 """EventStore: append, pushdown queries, compaction, crash recovery."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -187,3 +189,26 @@ class TestRecovery:
         for _ in range(3):
             store = EventStore.open(tmp_path / "store")
         assert list(store.query()) == before
+
+
+class TestDurability:
+    def test_commit_fsyncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        store = EventStore.create(tmp_path / "store")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.append(_burst(0.0, 3))
+        # The segment's and then the manifest's bytes hit disk before the
+        # manifest rename; the directory, which also holds the segment's
+        # rename, is synced after it.
+        assert calls == ["fsync-file", "fsync-file", "replace", "fsync-dir"]
