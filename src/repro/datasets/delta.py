@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro import obs
 from repro.cluster.inventory import ClusterInventory, build_delta_cluster
 from repro.faults.calibration import (
     AMPERE_CALIBRATION,
@@ -137,7 +138,8 @@ def synthesize_delta(
     window = injector.window_seconds
 
     if not config.with_jobs:
-        trace = injector.generate(cluster)
+        with obs.span("substrate.inject", trace="final"):
+            trace = injector.generate(cluster)
         return DeltaDataset(
             cluster=cluster,
             profile=profile,
@@ -159,8 +161,9 @@ def synthesize_delta(
         workload_config = _replace(
             workload_config, mmu_budget=injector.workload_mmu_budget()
         )
-    workload = WorkloadModel(workload_config, window_days=profile.window_days)
-    specs = workload.generate()
+    with obs.span("substrate.workload"):
+        workload = WorkloadModel(workload_config, window_days=profile.window_days)
+        specs = workload.generate()
 
     # Two-pass generation: a schedule-free preview trace pins down the
     # offender GPUs (their episodes draw from dedicated RNG streams, so they
@@ -168,21 +171,25 @@ def synthesize_delta(
     # final schedule, and the real trace is then placed against the *final*
     # schedule's occupancy — so idle-biased codes are idle with respect to
     # the very schedule the coupling uses.
-    preview_trace = injector.generate(cluster)
-    cordons = derive_cordons(preview_trace, config)
-    final = GpuScheduler(cluster, blackouts=cordons).schedule(specs, window)
-    injector = FaultInjector(
-        profile,
-        InjectorConfig(
-            scale=config.scale, seed=config.seed, workload_mmu_external=config.with_jobs
-        ),
-    )
-    trace = injector.generate(cluster, occupancy=final.occupancy)
+    with obs.span("substrate.inject", trace="preview"):
+        preview_trace = injector.generate(cluster)
+    with obs.span("substrate.schedule"):
+        cordons = derive_cordons(preview_trace, config)
+        final = GpuScheduler(cluster, blackouts=cordons).schedule(specs, window)
+    with obs.span("substrate.inject", trace="final"):
+        injector = FaultInjector(
+            profile,
+            InjectorConfig(
+                scale=config.scale, seed=config.seed, workload_mmu_external=config.with_jobs
+            ),
+        )
+        trace = injector.generate(cluster, occupancy=final.occupancy)
 
-    coupler = FailureCoupler(profile, CouplingConfig(seed=config.seed))
-    coupling = coupler.couple(
-        final, trace, specs, mmu_budget=injector.workload_mmu_budget()
-    )
+    with obs.span("substrate.couple"):
+        coupler = FailureCoupler(profile, CouplingConfig(seed=config.seed))
+        coupling = coupler.couple(
+            final, trace, specs, mmu_budget=injector.workload_mmu_budget()
+        )
 
     slurm_db = SlurmDatabase(
         coupling.jobs, coupling.node_events, window_seconds=window

@@ -14,12 +14,12 @@ by the fault injector (busy/idle placement bias) and by the failure coupler
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.inventory import ClusterInventory
 from repro.cluster.node import NodeKind
 from repro.slurm.job import GpuKey, JobRecord, JobSpec
@@ -74,9 +74,6 @@ class OccupancyIndex:
             return None
         index = int(np.searchsorted(starts, time, side="right")) - 1
         return self._job_at_index(gpu, time, index)
-
-    #: Alias kept for call sites that emphasize the hot path.
-    job_at_fast = job_at
 
     def _job_at_index(self, gpu: GpuKey, time: float, index: int) -> Optional[int]:
         if index < 0:
@@ -135,7 +132,7 @@ class OccupancyIndex:
             attempts += 1
             gpu = pool[int(rng.integers(0, len(pool)))]
             t = float(rng.uniform(0.0, self.window_seconds))
-            if self.job_at_fast(gpu, t) is None:
+            if self.job_at(gpu, t) is None:
                 gpus.append(gpu)
                 times.append(t)
         # Pathologically full schedules: fall back to busy placement rather
@@ -185,14 +182,10 @@ class GpuScheduler:
         self._blackouts: Dict[GpuKey, List[Interval]] = {
             gpu: sorted(intervals) for gpu, intervals in (blackouts or {}).items()
         }
-        self._pools: Dict[str, List[GpuKey]] = {}
-        for partition, kinds in PARTITIONS.items():
-            gpus = [
-                gpu.key
-                for node in cluster.nodes_of_kind(*kinds)
-                for gpu in node.gpus
-            ]
-            self._pools[partition] = gpus
+        self._pools: Dict[str, List[GpuKey]] = {
+            partition: [gpu.key for node in cluster.nodes_of_kind(*kinds) for gpu in node.gpus]
+            for partition, kinds in PARTITIONS.items()
+        }
 
     def pool_size(self, partition: str) -> int:
         return len(self._pools.get(partition, ()))
@@ -200,33 +193,37 @@ class GpuScheduler:
     def schedule(self, jobs: Sequence[JobSpec], window_seconds: float) -> Schedule:
         """Place every job; jobs whose start would fall past the window are
         dropped (counted in ``Schedule.dropped_jobs``)."""
-        heaps: Dict[str, List[Tuple[float, GpuKey]]] = {}
+        # Per partition, GPUs are ranked in key order and ``release`` holds
+        # each rank's free-from time: (release, rank) order is the order an
+        # earliest-available queue keyed on (release, GpuKey) would pop in.
+        pools: Dict[str, Tuple[List[GpuKey], np.ndarray, np.ndarray, np.ndarray]] = {}
         for partition, gpus in self._pools.items():
-            heaps[partition] = [(0.0, gpu) for gpu in gpus]
-            heapq.heapify(heaps[partition])
+            if gpus:
+                keys = sorted(gpus)
+                nodes = np.cumsum([0] + [a[0] != b[0] for a, b in zip(keys, keys[1:])])
+                drained = np.array([key in self._blackouts for key in keys])
+                pools[partition] = (keys, nodes, drained, np.zeros(len(keys)))
 
         records: List[JobRecord] = []
         dropped = 0
-        population: set[GpuKey] = set()
         for spec in sorted(jobs, key=lambda j: j.submit_time):
-            heap = heaps.get(spec.partition)
-            if not heap:
+            pool = pools.get(spec.partition)
+            if pool is None:
                 dropped += 1
                 continue
-            k = min(spec.requested_gpus, len(heap))
-            taken = self._allocate(heap, spec.submit_time, k)
-            start = max(ready for ready, _ in taken)
+            keys, _, _, release = pool
+            k = min(spec.requested_gpus, len(keys))
+            chosen, ready = self._allocate(pool, spec.submit_time, k)
+            start = max(ready)
             if start >= window_seconds:
-                # Never starts inside the window: return GPUs untouched.
-                for release, gpu in taken:
-                    heapq.heappush(heap, (release, gpu))
+                # Never starts inside the window.  The chosen GPUs keep the
+                # blackout-skipped ready time as their release (not their
+                # old release), which later jobs see in their tie order.
+                release[chosen] = ready
                 dropped += 1
                 continue
             end = start + spec.duration
-            gpu_keys = tuple(gpu for _, gpu in taken)
-            population.update(gpu_keys)
-            for _, gpu in taken:
-                heapq.heappush(heap, (end, gpu))
+            release[chosen] = end
             records.append(
                 JobRecord(
                     job_id=spec.job_id,
@@ -236,13 +233,15 @@ class GpuScheduler:
                     start_time=start,
                     end_time=end,
                     n_gpus=k,
-                    gpus=gpu_keys,
+                    gpus=tuple(keys[i] for i in chosen),
                     partition=spec.partition,
                     is_ml=spec.is_ml,
                     state=spec.natural_state,
                     exit_code=spec.natural_exit_code,
                 )
             )
+        obs.add("slurm.jobs_scheduled", len(records))
+        obs.add("slurm.jobs_dropped", dropped)
         all_gpus = tuple(g for pool in self._pools.values() for g in pool)
         return Schedule(
             jobs=records,
@@ -252,65 +251,65 @@ class GpuScheduler:
         )
 
     def _allocate(
-        self, heap: List[Tuple[float, GpuKey]], submit_time: float, k: int
-    ) -> List[Tuple[float, GpuKey]]:
-        """Take the ``k`` earliest-available GPUs, packed onto one node when
-        a single node can host the job.
+        self,
+        pool: Tuple[List[GpuKey], np.ndarray, np.ndarray, np.ndarray],
+        submit_time: float,
+        k: int,
+    ) -> Tuple[List[int], List[float]]:
+        """Ranks and ready times of the ``k`` earliest-available GPUs,
+        packed onto one node when a single node can host the job.
 
         Slurm packs small GPU jobs within a node; node spread matters to the
         analysis because a job's *node*-hours (Figure 9a's loss accounting)
         and its exposure to node-local errors scale with it.
         """
-        # Pop a candidate window: enough to usually contain a same-node set.
-        window = min(len(heap), max(4 * k, 24))
-        candidates: List[Tuple[float, float, GpuKey]] = []  # (ready, release, gpu)
-        for _ in range(window):
-            release, gpu = heapq.heappop(heap)
-            ready = self._skip_blackout(gpu, max(submit_time, release))
-            candidates.append((ready, release, gpu))
+        keys, nodes, drained, release = pool
+        if k == 1:
+            # Exact shortcut: blackout skips only ever delay a GPU, so the
+            # earliest (release, rank) GPU wins unless a blackout moves it.
+            rank = int(release.argmin())
+            ready = max(submit_time, float(release[rank]))
+            if not drained[rank] or self._skip_blackout(keys[rank], ready) == ready:
+                return [rank], [ready]
+
+        # The candidate window: the ``window`` smallest (release, rank),
+        # enough to usually contain a same-node set.
+        window = min(release.size, max(4 * k, 24))
+        if window < release.size:
+            cut = np.partition(release, window - 1)[window - 1]
+            below = (release < cut).nonzero()[0]
+            tied = (release == cut).nonzero()[0][: window - below.size]
+            candidates = np.concatenate((below, tied))
+        else:
+            candidates = np.arange(release.size)
+        released = release[candidates]
+        ready = np.maximum(released, submit_time)
+        for i in drained[candidates].nonzero()[0]:
+            ready[i] = self._skip_blackout(keys[candidates[i]], ready[i])
+        order = np.lexsort((candidates, released, ready))
+        candidates, ready = candidates[order], ready[order]
 
         # Packing must never delay the job materially: only candidates ready
         # within a bounded slack of the plain earliest-k start are eligible
         # for node-grouping; within that set, fewer nodes win.
-        candidates.sort()
-        plain_start = candidates[k - 1][0]
         slack = 600.0  # seconds of start delay we trade for packing
-        eligible = [c for c in candidates if c[0] <= plain_start + slack]
-
-        by_node: Dict[str, List[Tuple[float, float, GpuKey]]] = {}
-        for item in eligible:
-            by_node.setdefault(item[2][0], []).append(item)
+        eligible = int(np.searchsorted(ready, ready[k - 1] + slack, side="right"))
+        by_node: Dict[int, List[int]] = {}
+        for position, node in enumerate(nodes[candidates[:eligible]].tolist()):
+            by_node.setdefault(node, []).append(position)
         packable = [group for group in by_node.values() if len(group) >= k]
         if packable:
-            chosen = min(
-                (sorted(group)[:k] for group in packable),
-                key=lambda group: max(r for r, _, _ in group),
-            )
+            # The node whose k-th eligible GPU is ready first; on a tie, the
+            # node that appears first in (ready, release, rank) order.
+            picks = min(packable, key=lambda group: ready[group[k - 1]])[:k]
         else:
-            # Multi-node job: fill the largest eligible nodes first, topping
-            # up with the earliest leftovers.
-            chosen = []
-            taken_keys: set = set()
+            # Multi-node job: fill the largest eligible nodes first.  The
+            # eligible set holds at least the k earliest GPUs, so this
+            # always reaches k.
+            picks = []
             for group in sorted(by_node.values(), key=len, reverse=True):
-                if len(chosen) >= k:
-                    break
-                chosen.extend(sorted(group)[: k - len(chosen)])
-            chosen = chosen[:k]
-            if len(chosen) < k:
-                taken_keys = {gpu for _, _, gpu in chosen}
-                for item in candidates:
-                    if len(chosen) >= k:
-                        break
-                    if item[2] not in taken_keys:
-                        chosen.append(item)
-
-        chosen_keys = {gpu for _, _, gpu in chosen}
-        for ready, release, gpu in candidates:
-            if gpu not in chosen_keys:
-                # Return unused candidates with their *original* release so
-                # later jobs are not penalized by this job's blackout skips.
-                heapq.heappush(heap, (release, gpu))
-        return [(ready, gpu) for ready, _, gpu in chosen]
+                picks.extend(group[: k - len(picks)])
+        return candidates[picks].tolist(), ready[picks].tolist()
 
     def _skip_blackout(self, gpu: GpuKey, ready: float) -> float:
         """Advance ``ready`` past any blackout (drain) interval covering it."""

@@ -15,7 +15,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from repro import obs
 from repro.cli import main
+from repro.datasets import synthesize_delta
 from repro.obs import read_trace_dir, summarize
 
 from .conftest import SCALE, SEED
@@ -145,3 +147,27 @@ class TestTraceContents:
             assert block["trace_id"] in trace_ids
             assert block["spans"], path.name
             assert "session.experiment" in block["spans"]
+
+
+class TestSubstrateSpans:
+    def test_synthesis_traces_each_phase_without_changing_it(self, tmp_path):
+        plain = synthesize_delta(scale=float(SCALE), seed=int(SEED))
+        obs.activate(tmp_path)
+        try:
+            traced = synthesize_delta(scale=float(SCALE), seed=int(SEED))
+        finally:
+            obs.deactivate()
+        assert traced.schedule.jobs == plain.schedule.jobs
+        assert traced.slurm_db.jobs == plain.slurm_db.jobs
+        assert traced.trace.events == plain.trace.events
+
+        spans = read_trace_dir(tmp_path).spans
+        names = [s["name"] for s in spans]
+        assert {"substrate.workload", "substrate.schedule",
+                "substrate.couple"} <= set(names)
+        assert names.count("substrate.inject") == 2  # preview and final
+        (schedule,) = [s for s in spans if s["name"] == "substrate.schedule"]
+        assert schedule["counters"] == {
+            "slurm.jobs_scheduled": len(plain.schedule.jobs),
+            "slurm.jobs_dropped": plain.schedule.dropped_jobs,
+        }

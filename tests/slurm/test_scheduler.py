@@ -1,5 +1,7 @@
 """GPU scheduler: placement invariants, packing, blackouts, occupancy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,22 @@ class TestQueueing:
             [_spec(1, submit=WINDOW + 10.0)], WINDOW
         )
         assert not schedule.jobs and schedule.dropped_jobs == 1
+
+    def test_dropped_job_requeues_gpus_at_their_ready_time(self, small_cluster):
+        # Job 1 needs the whole pool, whose last GPU is drained past the
+        # window, so it is dropped.  Its GPUs go back at their ready time:
+        # the first GPU at its drain end (1,000 s), the rest at the submit
+        # time (100 s).  Job 2 ties on ready time everywhere, so the lower
+        # release wins and it skips the first GPU.  Re-queued at their old
+        # release, or at the un-skipped 100 s, the first GPU would win.
+        keys = _a100_keys(small_cluster)
+        blackouts = {keys[0]: [(0.0, 1000.0)], keys[-1]: [(0.0, WINDOW + 100.0)]}
+        specs = [_spec(1, 100.0, gpus=len(keys)), _spec(2, 2000.0)]
+        schedule = GpuScheduler(small_cluster, blackouts=blackouts).schedule(
+            specs, WINDOW
+        )
+        assert schedule.dropped_jobs == 1
+        assert schedule.jobs[0].gpus == (keys[1],)
 
     def test_unknown_partition_dropped(self, small_cluster):
         schedule = GpuScheduler(small_cluster).schedule(
@@ -250,3 +268,116 @@ class TestOccupancyIndex:
         gpus, times = occupancy.sample_busy(rng, 5)
         assert gpus == [] and times.size == 0
         assert occupancy.utilization() == 0.0
+
+
+def _digest(jobs):
+    """sha256 over every field of every placed job, in schedule order."""
+    digest = hashlib.sha256()
+    for job in jobs:
+        fields = (
+            job.job_id, job.name, job.user, job.submit_time, job.start_time,
+            job.end_time, job.n_gpus, job.gpus, job.partition, job.is_ml,
+            job.state.value, int(job.exit_code), job.truth_failed_by_xid,
+        )
+        digest.update(repr(fields).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _a100_keys(cluster):
+    return sorted(
+        gpu.key
+        for node in cluster.nodes_of_kind(*PARTITIONS["a100"])
+        for gpu in node.gpus
+    )
+
+
+def _branch_case(name, cluster):
+    """(scheduler, specs, window) exercising one placement branch."""
+    keys = _a100_keys(cluster)
+    pool = len(keys)
+    if name == "packed":
+        # 2- and 4-GPU jobs arriving faster than they finish pack per node.
+        specs = [
+            _spec(i, submit=i * 60.0, gpus=2 + 2 * (i % 2), duration=900.0 + 37.0 * i)
+            for i in range(1, 30)
+        ]
+        return GpuScheduler(cluster), specs, WINDOW
+    if name == "multi_node":
+        # 10 and 12 GPUs fill the 8-way node first, then 4-way ones; the
+        # staggered 1-GPU jobs make the fill order depend on release times.
+        specs = [_spec(i, submit=float(i), duration=500.0 * i) for i in range(1, 6)]
+        specs += [
+            _spec(10, submit=10.0, gpus=10, duration=7200.0),
+            _spec(11, submit=20.0, gpus=12, duration=3600.0),
+            _spec(12, submit=30.0, gpus=6, duration=1800.0),
+        ]
+        return GpuScheduler(cluster), specs, WINDOW
+    if name == "clamped":
+        specs = [
+            _spec(1, submit=0.0, gpus=3),
+            _spec(2, submit=5.0, gpus=pool + 50),
+            _spec(3, submit=6.0, gpus=1),
+        ]
+        return GpuScheduler(cluster), specs, WINDOW
+    if name == "unknown_partition":
+        specs = [
+            _spec(1, submit=0.0, gpus=2),
+            _spec(2, submit=1.0, partition="tpu"),
+            _spec(3, submit=2.0, gpus=2),
+        ]
+        return GpuScheduler(cluster), specs, WINDOW
+    if name == "dropped":
+        # Job 2 needs the GPU drained past the window and is dropped; the
+        # jobs after it still place.
+        blackouts = {keys[-1]: [(0.0, WINDOW + 100.0)]}
+        specs = [
+            _spec(1, submit=0.0, duration=50.0),
+            _spec(2, submit=100.0, gpus=pool),
+            _spec(3, submit=100.0),
+            _spec(4, submit=200.0, gpus=4),
+        ]
+        return GpuScheduler(cluster, blackouts=blackouts), specs, WINDOW
+    if name == "k1_blackout":
+        # The earliest GPU is drained for 1-GPU jobs; a later drain on
+        # another GPU starts after the job it would delay.
+        blackouts = {
+            keys[0]: [(0.0, 3600.0), (7200.0, 9000.0)],
+            keys[1]: [(5000.0, 6000.0)],
+        }
+        specs = [
+            _spec(i, submit=i * 400.0, duration=1000.0 + 10.0 * i) for i in range(1, 40)
+        ]
+        return GpuScheduler(cluster, blackouts=blackouts), specs, WINDOW
+    raise KeyError(name)
+
+
+#: Schedule digests recorded with the heap-based scheduler: placement must
+#: stay byte-identical, tie order included.
+BRANCH_DIGESTS = {
+    "packed": "bff7bef44c73945f65dcf00f2cfe5bdbb8cbff00c158ac3a6ace7c28db055d79",
+    "multi_node": "9aaf4650d5f268c33e0dd07c0678df987f5433e0ba40c767d3c82c1a4e8c66f3",
+    "clamped": "72e5cee36094b79bd75193b7de89101019977306fdab276f4309d1be9f27d62e",
+    "unknown_partition": "ab53efda0bee71c34dd237c698d54b9764e898bc093a88967c33a06f29e29eae",
+    "dropped": "00c3a1a87ca2c4016e6740787e3cd79c652327dbcbf6056c288dbfee21ced0ed",
+    "k1_blackout": "b8081cfb077c2fc7c71c3d45b26776ecd149eca31835347e5ae35b6a4d1aa628",
+}
+WORKLOAD_DIGEST = "281500427b9436018501bf4db746e0e304beb823b2280e2c48eb560937f5155c"
+DATASET_DIGEST = "52f592c3cd0b8e3e28a70545c90623d200594e2b8a876ee05d0ce853444ef248"
+H100_DATASET_DIGEST = "29513216fbf57483d72712939f282cab620d5842af5e05e0d0bdbad38428ab17"
+
+
+class TestScheduleIdentity:
+    @pytest.mark.parametrize("name", sorted(BRANCH_DIGESTS))
+    def test_branch_schedules_unchanged(self, name, small_cluster):
+        scheduler, specs, window = _branch_case(name, small_cluster)
+        assert _digest(scheduler.schedule(specs, window).jobs) == BRANCH_DIGESTS[name]
+
+    def test_small_workload_schedule_unchanged(self, schedule):
+        assert _digest(schedule.jobs) == WORKLOAD_DIGEST
+
+    def test_ampere_dataset_schedule_unchanged(self, dataset):
+        assert _digest(dataset.schedule.jobs) == DATASET_DIGEST
+
+    def test_h100_dataset_schedule_unchanged(self, h100_dataset):
+        assert _digest(h100_dataset.schedule.jobs) == H100_DATASET_DIGEST
